@@ -13,7 +13,6 @@
 #include <span>
 #include <vector>
 
-#include "datapath/ack_batch.hpp"
 #include "datapath/flow.hpp"
 #include "datapath/flow_table.hpp"
 #include "ipc/wire.hpp"
@@ -83,17 +82,18 @@ class CcpDatapath {
   /// sequence with no call overhead.
   CcpFlow* flow(ipc::FlowId id) { return flows_.find(id); }
 
-  /// Feeds a whole burst of ACKs through the cross-flow batch runner:
-  /// behaviorally equivalent to the per-ACK on_send/on_ack sequence in
-  /// arrival order (same messages, same bytes), but same-program flows
-  /// fold in grouped batch calls — packed SIMD where the program is
-  /// eligible. See datapath/ack_batch.hpp for the peeling rules. Each
+  /// Feeds a burst of ACKs (NIC interrupt coalescing, GRO, a poll loop
+  /// draining a queue). Each chunk of up to 32 ACKs first runs three
+  /// prefetch sweeps — index bucket lines, then flow resolution plus the
+  /// flows' own lines, then the lines behind their pointers — and then
+  /// every ACK, in arrival order, runs the scalar path: on_send (when
+  /// `sent_bytes` > 0) followed by CcpFlow::on_ack. The burst is
+  /// therefore the scalar sequence by construction (same messages, same
+  /// bytes); the sweeps only overlap the cache misses a million-flow
+  /// table would otherwise serialize. Unknown flow ids are skipped. Each
   /// call also pumps one bounded incremental-rehash step when a flow-
   /// index grow is draining, so table growth never stalls a burst.
-  void on_ack_batch(std::span<const FlowAck> burst) {
-    if (flows_.rehash_pending()) [[unlikely]] pump_rehash();
-    batch_runner_.run(*this, burst);
-  }
+  void on_ack_batch(std::span<const FlowAck> burst);
 
   /// Feeds one frame from the agent. Malformed frames and bad programs
   /// are counted and dropped — never fatal (§5).
@@ -171,7 +171,7 @@ class CcpDatapath {
   std::vector<ipc::Message> rx_scratch_;
   bool rx_busy_ = false;
 
-  AckBatchRunner batch_runner_;
+  uint32_t burst_stamp_ = 0;  // FlowTable::find_mark dedup (0 reserved)
 
   DatapathStats stats_;
   telemetry::ShardStats* shard_stats_ = nullptr;  // sharded mode only

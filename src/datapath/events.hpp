@@ -4,6 +4,7 @@
 
 #include <cstdint>
 
+#include "ipc/message.hpp"
 #include "util/time.hpp"
 
 namespace ccp::datapath {
@@ -45,18 +46,14 @@ struct SendEvent {
   uint64_t bytes = 0;
 };
 
-/// How the cross-flow batch runner (datapath/ack_batch.cc) executes one
-/// lane's fold. The value is a pure function of the flow's install-time
-/// latches (engine choice, vector mode), so CcpFlow caches it in its hot
-/// block at every transition and the runner's per-ACK classification is
-/// one byte load instead of a walk over the fold machine's flags.
-enum class BatchExec : uint8_t {
-  Simd,         // packed batch kernel over the group's SoA slice
-  BatchInterp,  // scalar batch interpreter over the SoA slice
-  PerLane,      // fold_.on_packet per lane (scalar JIT w/o kernel)
-  Verify,       // batch engine on a shadow + authoritative scalar,
-                // bitwise-compared per lane (CCP_JIT=Verify)
-  Peel,         // full scalar on_ack at finish time
+/// One ACK of a burst, addressed by flow (CcpDatapath::on_ack_batch).
+/// `sent_bytes` carries the bytes the stack sent for this flow since its
+/// previous event (0 = none) so a burst intake replaces the usual
+/// on_send/on_ack call pair.
+struct FlowAck {
+  ipc::FlowId flow_id = 0;
+  uint64_t sent_bytes = 0;
+  AckEvent ev;
 };
 
 }  // namespace ccp::datapath

@@ -85,10 +85,10 @@ using MessageSink = std::function<void(const ipc::Message&, bool urgent)>;
 
 /// The flow state the per-ACK path actually touches, split out of CcpFlow
 /// so it packs into ~two cache lines regardless of how much cold
-/// configuration/resync state the flow carries. The cross-flow batch
-/// runner (datapath/ack_batch.cc) leans on this: a wave of ACKs walks one
-/// hot block + PktInfo per flow instead of dragging whole CcpFlow objects
-/// (rate-estimator rings included) through cache.
+/// configuration/resync state the flow carries. At million-flow scale the
+/// FlowTable keeps these blocks in their own slab, so a burst's prefetch
+/// sweep pulls one dense block per flow instead of whole CcpFlow objects
+/// (rate-estimator rings included).
 struct FlowHot {
   // Enforcement state (primitives (1) and (2) of §2.1).
   uint64_t cwnd_bytes = 0;
@@ -114,17 +114,6 @@ struct FlowHot {
   // report/tick/close time — one atomic RMW per interval instead of a
   // lock-prefixed add on every ACK of the hot path.
   uint64_t acks_seen = 0;
-
-  // Id of the batch wave that last claimed this flow: a second ACK for
-  // the same flow inside one burst must not share a wave (its fold reads
-  // the first ACK's writes), so the runner flushes on a repeat.
-  uint64_t batch_epoch = 0;
-
-  // Cached batch execution class (see BatchExec). Recomputed on every
-  // install and vector-mode switch — the only transitions that change
-  // it — so the batch runner classifies a lane with one byte load plus
-  // the per-ACK gates (watchdog deadline, profiler sampling).
-  BatchExec exec_class = BatchExec::Peel;
 };
 
 class CcpFlow final : public CcModule {
@@ -183,29 +172,11 @@ class CcpFlow final : public CcModule {
   /// Switches between fold reporting and vector-of-measurements
   /// reporting (§2.4). In vector mode the flow records one sample per
   /// ACK and ships the raw vector at Report() time.
-  void set_vector_mode(bool enabled) {
-    hot_->vector_mode = enabled;
-    refresh_batch_exec();
-  }
+  void set_vector_mode(bool enabled) { hot_->vector_mode = enabled; }
   bool vector_mode() const { return hot_->vector_mode; }
 
-  // --- cross-flow batch execution surface (datapath/ack_batch.cc) ---
+  // --- burst intake prefetch (CcpDatapath::on_ack_batch) ---
 
-  /// First half of on_ack: measurement update, report/fold counters, and
-  /// the watchdog gate, leaving the ACK's fields in last_pkt(). The batch
-  /// runner calls this for every batch lane at intake, folds whole groups
-  /// through one kernel call, then completes each lane with ack_finish().
-  /// ack_prepare(ev) + fold + ack_finish(urgent, ev.now) is behaviorally
-  /// identical to on_ack(ev).
-  void ack_prepare(const AckEvent& ev);
-  /// Second half of on_ack: urgent damping/emission and the control gate.
-  /// `urgent` is the fold's urgent-register-changed verdict for this ACK.
-  void ack_finish(bool urgent, TimePoint now);
-  /// Mutable hot block / fold machine / packet view for the runner's
-  /// struct-of-arrays gather and scatter.
-  FlowHot& hot() { return *hot_; }
-  lang::FoldMachine& fold_machine() { return fold_; }
-  const lang::PktInfo& last_pkt() const { return last_pkt_; }
   /// Stage-one prefetch: the flow object's own cache lines. Every address
   /// here is `this` plus a compile-time offset — no field is read — so a
   /// completely cold flow costs no stall to prefetch. Covers the lines
@@ -232,7 +203,7 @@ class CcpFlow final : public CcModule {
   }
   /// Stage-two prefetch: the lines *behind* the flow's pointers — hot
   /// block, both estimator ring write positions, fold state. These
-  /// require reading fields of the flow, so the batch runner calls this
+  /// require reading fields of the flow, so the burst intake calls this
   /// only after prefetch_self()'s lines have had a few ACKs' worth of
   /// work to arrive; a cold (Zipf-tail) flow's dependent misses then
   /// overlap earlier lanes instead of serializing in front of its own.
@@ -277,7 +248,7 @@ class CcpFlow final : public CcModule {
   /// collects cost one predictable branch each when sampling is off.
   void fold_event(TimePoint now, telemetry::ProfSample* ps = nullptr);
   /// Measurement half of an ACK (cwnd ramp, srtt, delivery rate, packet
-  /// view, vector sample) — shared verbatim by on_ack and ack_prepare.
+  /// view, vector sample).
   void measure_ack(const AckEvent& ev);
   /// Per-ACK staleness gate, reduced to a single time compare: the
   /// precise threshold (agent_timeout floor, k smoothed RTTs) is folded
@@ -303,16 +274,6 @@ class CcpFlow final : public CcModule {
         (watchdog_enabled_ && agent_has_programmed_ && !in_fallback_)
             ? TimePoint::epoch()
             : TimePoint::max();
-  }
-  /// Re-derives hot_->exec_class from the fold machine's install-time
-  /// latches. Must run after every fold_.install and vector-mode change.
-  void refresh_batch_exec() {
-    hot_->exec_class = !fold_.installed() || hot_->vector_mode
-                          ? BatchExec::Peel
-                      : fold_.jit_verifying() ? BatchExec::Verify
-                      : fold_.batch_fn() != nullptr ? BatchExec::Simd
-                      : !fold_.jit_active() ? BatchExec::BatchInterp
-                                            : BatchExec::PerLane;
   }
   void enter_fallback(TimePoint now);
   void record_fallback_exit(TimePoint now);

@@ -12,8 +12,8 @@
 //               hot block lives at hot_chunks_[i >> shift][i & mask] for
 //               the life of the table — addresses are stable because
 //               chunks never move, so CcpFlow keeps a plain pointer and
-//               the batch runner's SoA gather reads straight out of the
-//               slab.
+//               the burst intake's prefetch sweep pulls one dense block
+//               per flow.
 //
 //   cold slab   chunks of CcpFlow storage (config, estimator rings, fold
 //               machine, resync scratch). Constructed in place on first
@@ -133,7 +133,7 @@ class FlowTable {
     return nullptr;
   }
 
-  /// find() plus prefetch dedup for the batch intake pipeline: sets
+  /// find() plus prefetch dedup for the burst intake pipeline: sets
   /// `fresh` to true iff this is the first find_mark() for the flow with
   /// this `stamp` value (and records the stamp in its bucket — one store
   /// to a line the probe just loaded). A Zipf-hot flow resolved a dozen
@@ -174,8 +174,8 @@ class FlowTable {
   }
 
   /// Pulls the index bucket line(s) for `id` toward cache ahead of the
-  /// find() a few ACKs later — the batch runner's intake pipeline uses
-  /// this so a million-flow table probes mostly-warm lines.
+  /// find() a few ACKs later — the burst intake (CcpDatapath::on_ack_batch)
+  /// uses this so a million-flow table probes mostly-warm lines.
   void prefetch(ipc::FlowId id) const {
     if (cur_.empty()) return;
     const uint64_t h = mix(id);

@@ -33,18 +33,4 @@ struct CompiledBlock {
 /// emit-failure hook in jit.hpp).
 std::optional<CompiledBlock> compile_block(const CodeBlock& block);
 
-/// Lowers an optimized CodeBlock to a cross-flow batch kernel
-///   void fn(double* fold_soa, const double* pkt_soa,
-///           const double* vars_soa, double* scratch_soa, uint64_t n_pairs)
-/// over struct-of-arrays matrices with row stride lang::kBatchLanes:
-/// the emitted loop body processes two lanes per iteration with packed
-/// SSE2 (addpd/cmppd/... mirror the scalar lowering op for op), running
-/// n_pairs iterations. Per-lane results are bit-identical to eval_block
-/// on that lane's column — same totalized arithmetic, same operand
-/// order, no FMA. Returns nullopt for SIMD-ineligible blocks: anything
-/// calling a libm helper (Log/Exp/Cbrt/Pow has no packed form here) or
-/// using an opcode the emitter cannot lower — the caller then keeps such
-/// programs on the scalar-lane path.
-std::optional<CompiledBlock> compile_block_batch(const CodeBlock& block);
-
 }  // namespace ccp::lang::jit

@@ -60,19 +60,11 @@ struct Handle {
   FoldFn fn = nullptr;
   uint32_t code_size = 0;
   bool is_reg_cached = false;
-  // Cross-flow batch kernel (own region: compiled separately, and a
-  // batch emit failure must not invalidate the scalar code).
-  CodeRegion batch_region;
-  BatchFoldFn batch_fn = nullptr;
-  uint32_t batch_code_size = 0;
 
   ~Handle() {
     // metrics() is a deliberately leaked singleton, so this is safe even
     // from static-destruction of a cached program at exit.
     if (fn != nullptr) telemetry::metrics().jit_code_bytes.sub(code_size);
-    if (batch_fn != nullptr) {
-      telemetry::metrics().jit_code_bytes.sub(batch_code_size);
-    }
   }
 };
 
@@ -101,23 +93,6 @@ std::shared_ptr<const Handle> get_or_compile(const CompiledProgram& prog) {
       h->is_reg_cached = cb->reg_cached;
     }
   }
-#if !defined(CCP_NO_SIMD)
-  // Batch kernel: attempted only once the scalar compile stands (the
-  // batch path peels to scalar lanes, so scalar code is the
-  // prerequisite). compile_block_batch declines helper-bearing folds —
-  // those programs simply run scalar lanes in batch waves.
-  if (h->fn != nullptr) {
-    if (auto bb = compile_block_batch(prog.fold_block)) {
-      if (auto region =
-              CodeRegion::create(bb->code, bb->pool, bb->pool_patch_at)) {
-        h->batch_region = std::move(*region);
-        h->batch_fn = reinterpret_cast<BatchFoldFn>(
-            const_cast<void*>(h->batch_region.entry()));
-        h->batch_code_size = static_cast<uint32_t>(bb->code.size());
-      }
-    }
-  }
-#endif
   const uint64_t dt = telemetry::now_ns() - t0;
 
   if (telemetry::enabled()) {
@@ -126,7 +101,6 @@ std::shared_ptr<const Handle> get_or_compile(const CompiledProgram& prog) {
       m.jit_compiles.inc();
       m.jit_compile_ns.record(dt);
       m.jit_code_bytes.add(h->code_size);
-      if (h->batch_fn != nullptr) m.jit_code_bytes.add(h->batch_code_size);
       // Trace payload: value = compile latency (ns); the flow field
       // carries the code size in bytes (there is no flow here).
       telemetry::trace(telemetry::TraceKind::JitCompile, h->code_size,
@@ -143,13 +117,6 @@ std::shared_ptr<const Handle> get_or_compile(const CompiledProgram& prog) {
 FoldFn entry(const Handle& h) { return h.fn; }
 uint32_t code_bytes(const Handle& h) { return h.code_size; }
 bool reg_cached(const Handle& h) { return h.is_reg_cached; }
-BatchFoldFn batch_entry(const Handle& h) { return h.batch_fn; }
-uint32_t batch_code_bytes(const Handle& h) { return h.batch_code_size; }
-#if defined(CCP_NO_SIMD)
-bool simd_available() { return false; }
-#else
-bool simd_available() { return true; }
-#endif
 
 #else  // !CCP_JIT_X86_64 — interpreter-only build or foreign arch
 
@@ -172,9 +139,6 @@ std::shared_ptr<const Handle> get_or_compile(const CompiledProgram& prog) {
 FoldFn entry(const Handle&) { return nullptr; }
 uint32_t code_bytes(const Handle&) { return 0; }
 bool reg_cached(const Handle&) { return false; }
-BatchFoldFn batch_entry(const Handle&) { return nullptr; }
-uint32_t batch_code_bytes(const Handle&) { return 0; }
-bool simd_available() { return false; }
 
 #endif
 

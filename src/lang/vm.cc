@@ -1,5 +1,6 @@
 #include "lang/vm.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -155,222 +156,6 @@ double eval_block(const CodeBlock& block, std::span<double> fold_state,
   return eval_block_impl(block, fold_state, pkt, vars, scratch);
 }
 
-// Instruction-major batch interpreter: one pass over the code, each
-// instruction applied across every lane of its struct-of-arrays row
-// before moving on. The inner loops are the scalar handler expressions
-// verbatim (same safe_* helpers, same operand order), which is what
-// makes results bit-identical per lane — and what lets the compiler
-// auto-vectorize the pure-arithmetic rows without being asked.
-void eval_block_batch(const CodeBlock& block, double* fold_state,
-                      const double* pkt, const double* vars, double* scratch,
-                      size_t n_lanes) {
-  if (block.code.empty() || block.n_slots == 0 || n_lanes == 0) return;
-  constexpr size_t L = kBatchLanes;
-  const size_t n = n_lanes < L ? n_lanes : L;
-  double* s = scratch;
-  const double* k = block.consts.data();
-
-// Row pointers are computed per case: `in.a` indexes the const pool for
-// LoadConst, a pkt field for LoadPkt, a fold register for StoreFold — a
-// shared slot-pointer precomputation would form out-of-range pointers.
-#define BROW(base, idx) ((base) + static_cast<size_t>(idx) * L)
-#define BLANES for (size_t l = 0; l < n; ++l)
-
-  for (const Instr& in : block.code) {
-    double* d = BROW(s, in.dst);
-    switch (in.op) {
-      case OpCode::LoadConst: {
-        const double v = k[in.a];
-        BLANES d[l] = v;
-      } break;
-      case OpCode::LoadFold: {
-        const double* f = BROW(fold_state, in.a);
-        BLANES d[l] = f[l];
-      } break;
-      case OpCode::LoadPkt: {
-        const double* p = BROW(pkt, in.a);
-        BLANES d[l] = p[l];
-      } break;
-      case OpCode::LoadVar: {
-        const double* v = BROW(vars, in.a);
-        BLANES d[l] = v[l];
-      } break;
-      case OpCode::Neg: {
-        const double* a = BROW(s, in.a);
-        BLANES d[l] = -a[l];
-      } break;
-      case OpCode::Not: {
-        const double* a = BROW(s, in.a);
-        BLANES d[l] = a[l] == 0.0 ? 1.0 : 0.0;
-      } break;
-      case OpCode::Sqrt: {
-        const double* a = BROW(s, in.a);
-        BLANES d[l] = safe_sqrt(a[l]);
-      } break;
-      case OpCode::Abs: {
-        const double* a = BROW(s, in.a);
-        BLANES d[l] = std::fabs(a[l]);
-      } break;
-      case OpCode::Log: {
-        const double* a = BROW(s, in.a);
-        BLANES d[l] = safe_log(a[l]);
-      } break;
-      case OpCode::Exp: {
-        const double* a = BROW(s, in.a);
-        BLANES d[l] = std::exp(a[l]);
-      } break;
-      case OpCode::Cbrt: {
-        const double* a = BROW(s, in.a);
-        BLANES d[l] = std::cbrt(a[l]);
-      } break;
-      case OpCode::Add: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = a[l] + b[l];
-      } break;
-      case OpCode::Sub: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = a[l] - b[l];
-      } break;
-      case OpCode::Mul: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = a[l] * b[l];
-      } break;
-      case OpCode::Div: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = safe_div(a[l], b[l]);
-      } break;
-      case OpCode::Pow: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = safe_pow(a[l], b[l]);
-      } break;
-      case OpCode::Min: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = a[l] < b[l] ? a[l] : b[l];
-      } break;
-      case OpCode::Max: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = a[l] > b[l] ? a[l] : b[l];
-      } break;
-      case OpCode::Lt: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = a[l] < b[l] ? 1.0 : 0.0;
-      } break;
-      case OpCode::Le: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = a[l] <= b[l] ? 1.0 : 0.0;
-      } break;
-      case OpCode::Gt: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = a[l] > b[l] ? 1.0 : 0.0;
-      } break;
-      case OpCode::Ge: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = a[l] >= b[l] ? 1.0 : 0.0;
-      } break;
-      case OpCode::Eq: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = a[l] == b[l] ? 1.0 : 0.0;
-      } break;
-      case OpCode::Ne: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = a[l] != b[l] ? 1.0 : 0.0;
-      } break;
-      case OpCode::And: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = (a[l] != 0.0 && b[l] != 0.0) ? 1.0 : 0.0;
-      } break;
-      case OpCode::Or: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        BLANES d[l] = (a[l] != 0.0 || b[l] != 0.0) ? 1.0 : 0.0;
-      } break;
-      case OpCode::Select: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b), *c = BROW(s, in.c);
-        BLANES d[l] = a[l] != 0.0 ? b[l] : c[l];
-      } break;
-      case OpCode::Ewma: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b), *c = BROW(s, in.c);
-        BLANES d[l] = (1.0 - c[l]) * a[l] + c[l] * b[l];
-      } break;
-      case OpCode::StoreFold: {
-        double* f = BROW(fold_state, in.a);
-        const double* b = BROW(s, in.b);
-        BLANES f[l] = b[l];
-      } break;
-      case OpCode::AddC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = a[l] + kb;
-      } break;
-      case OpCode::SubC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = a[l] - kb;
-      } break;
-      case OpCode::MulC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = a[l] * kb;
-      } break;
-      case OpCode::DivC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = safe_div(a[l], kb);
-      } break;
-      case OpCode::MinC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = a[l] < kb ? a[l] : kb;
-      } break;
-      case OpCode::MaxC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = a[l] > kb ? a[l] : kb;
-      } break;
-      case OpCode::LtC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = a[l] < kb ? 1.0 : 0.0;
-      } break;
-      case OpCode::LeC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = a[l] <= kb ? 1.0 : 0.0;
-      } break;
-      case OpCode::GtC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = a[l] > kb ? 1.0 : 0.0;
-      } break;
-      case OpCode::GeC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = a[l] >= kb ? 1.0 : 0.0;
-      } break;
-      case OpCode::EqC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = a[l] == kb ? 1.0 : 0.0;
-      } break;
-      case OpCode::NeC: {
-        const double* a = BROW(s, in.a);
-        const double kb = k[in.b];
-        BLANES d[l] = a[l] != kb ? 1.0 : 0.0;
-      } break;
-      case OpCode::EwmaC: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b);
-        const double kc = k[in.c];
-        BLANES d[l] = (1.0 - kc) * a[l] + kc * b[l];
-      } break;
-      case OpCode::SelGtz: {
-        const double *a = BROW(s, in.a), *b = BROW(s, in.b), *c = BROW(s, in.c);
-        BLANES d[l] = a[l] > 0.0 ? b[l] : c[l];
-      } break;
-    }
-  }
-#undef BLANES
-#undef BROW
-}
-
 void FoldMachine::install(const CompiledProgram* prog, std::vector<double> vars) {
   if (prog == nullptr) throw std::invalid_argument("FoldMachine: null program");
   if (vars.size() != prog->num_vars()) {
@@ -393,7 +178,6 @@ void FoldMachine::install(const CompiledProgram* prog, std::vector<double> vars)
   // interpreting, exactly as before.
   jit_handle_.reset();
   jit_fn_ = nullptr;
-  jit_batch_fn_ = nullptr;
   jit_verify_ = false;
   const jit::JitMode m = jit::mode();
   if (m != jit::JitMode::Off && jit::available() &&
@@ -401,7 +185,6 @@ void FoldMachine::install(const CompiledProgram* prog, std::vector<double> vars)
     jit_handle_ = jit::get_or_compile(*prog);
     if (jit_handle_) {
       jit_fn_ = jit::entry(*jit_handle_);
-      jit_batch_fn_ = jit::batch_entry(*jit_handle_);
       jit_verify_ = (m == jit::JitMode::Verify);
       // The native code indexes the scratch array directly (memory-slot
       // mode) without the interpreter's lazy resize; presize it here so
@@ -417,12 +200,13 @@ void FoldMachine::install(const CompiledProgram* prog, std::vector<double> vars)
   }
 }
 
-void FoldMachine::update_vars(std::vector<double> vars) {
+void FoldMachine::update_vars(std::span<const double> vars) {
   if (prog_ == nullptr) throw std::logic_error("FoldMachine: no program installed");
   if (vars.size() != prog_->num_vars()) {
     throw std::invalid_argument("FoldMachine: var count mismatch");
   }
-  vars_ = std::move(vars);
+  // vars_.size() == num_vars() since install, so this is a plain copy.
+  std::copy(vars.begin(), vars.end(), vars_.begin());
 }
 
 void FoldMachine::jit_exec(const PktInfo& pkt) {

@@ -28,22 +28,6 @@ double eval_block(const CodeBlock& block, std::span<double> fold_state,
                   const PktInfo& pkt, std::span<const double> vars,
                   std::vector<double>& scratch);
 
-/// Batch (cross-flow) evaluation of one CodeBlock over a struct-of-arrays
-/// register layout: element (row r, lane l) of each matrix lives at
-/// r*kBatchLanes + l. `fold_state` holds num_folds rows, `pkt` holds
-/// kNumPktFields rows (indexed by PktField value), `vars` num_vars rows
-/// and `scratch` n_slots rows; only the first `n_lanes` (<= kBatchLanes)
-/// columns are read or written. The per-lane arithmetic is the scalar
-/// eval_block expressions verbatim (same safe_* totalization, same
-/// evaluation order), so results are bit-identical to running eval_block
-/// once per lane — the contract the batch differential fuzzer enforces.
-/// This is the execution engine for CCP_JIT=Off and -DCCP_ENABLE_SIMD=OFF
-/// batch paths, and the reference for Verify. The block's result value
-/// for lane l is left in scratch[result_slot*kBatchLanes + l].
-void eval_block_batch(const CodeBlock& block, double* fold_state,
-                      const double* pkt, const double* vars, double* scratch,
-                      size_t n_lanes);
-
 /// Per-flow fold-machine state: owns the fold register file and scratch
 /// space, applies init/update/report-reset semantics.
 class FoldMachine {
@@ -55,7 +39,9 @@ class FoldMachine {
 
   /// Re-binds variable values without resetting fold state (the agent's
   /// UpdateFields message). Lengths must match the installed program.
-  void update_vars(std::vector<double> vars);
+  /// Copies into the storage sized at install: applying an update never
+  /// touches the heap.
+  void update_vars(std::span<const double> vars);
 
   /// Folds one ACK's measurements into the register file.
   /// Returns true if any `urgent` register changed value.
@@ -96,15 +82,10 @@ class FoldMachine {
   /// True when every fold also cross-checks the interpreter (Verify).
   bool jit_verifying() const { return jit_fn_ != nullptr && jit_verify_; }
 
-  // --- cross-flow batch execution surface (datapath/ack_batch.cc) ---
-  // The batch runner gathers/scatters fold registers and vars directly;
-  // these expose the backing rows without copies. batch_fn() is the
-  // packed-SIMD batch kernel latched at install (null when the JIT is
-  // off, the build disables SIMD, or the program is SIMD-ineligible —
-  // helper calls keep a program on the scalar-lane path).
-  double* state_data() { return state_.data(); }
+  /// Backing rows of the fold registers and vars, for the burst
+  /// intake's prefetch sweep (CcpFlow::prefetch_for_ack).
+  const double* state_data() const { return state_.data(); }
   const double* vars_data() const { return vars_.data(); }
-  jit::BatchFoldFn batch_fn() const { return jit_batch_fn_; }
 
  private:
   /// Per-ACK fold dispatch: direct native call in the common JIT-on
@@ -133,7 +114,6 @@ class FoldMachine {
   // -- native execution (lang/jit) --
   std::shared_ptr<const jit::Handle> jit_handle_;  // keeps the code alive
   jit::FoldFn jit_fn_ = nullptr;                   // null: interpret
-  jit::BatchFoldFn jit_batch_fn_ = nullptr;        // null: no SIMD batch kernel
   bool jit_verify_ = false;                        // JitMode::Verify at install
   std::vector<double> verify_state_;    // shadow fold state for Verify
   std::vector<double> verify_scratch_;  // shadow slot file for Verify

@@ -30,10 +30,9 @@ enum class ProfStage : uint8_t {
   FoldJit = 3,     // fold_.on_packet, JIT-compiled engine
   Watchdog = 4,    // agent-staleness check
   ReportEmit = 5,  // control-program step + report/urgent emit
-  FoldBatch = 6,   // grouped cross-flow batch execute (whole wave)
 };
 
-inline constexpr size_t kProfStages = 7;
+inline constexpr size_t kProfStages = 6;
 
 const char* prof_stage_name(ProfStage s) noexcept;
 

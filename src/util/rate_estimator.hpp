@@ -70,7 +70,7 @@ class RateEstimator {
     return cache_rate_;
   }
 
-  /// Address the next on_bytes() will write. The batch intake's lookahead
+  /// Address the next on_bytes() will write. The burst intake's lookahead
   /// pipeline prefetches it so a cold flow's ring line is already in
   /// flight when the record lands.
   const void* write_pos() const { return &events_[tail_ & (capacity_ - 1)]; }

@@ -411,17 +411,15 @@ TEST(HotPathAlloc, JitSteadyStateIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "JIT-dispatched per-ACK path allocated in steady state";
 }
 
-TEST(HotPathAlloc, BatchModeSteadyStateIsAllocationFree) {
-  // Cross-flow batch intake (on_ack_batch): the runner's SoA staging
-  // buffers grow to the largest program during warm-up and are then
-  // reused forever. Steady state — 32-ACK bursts over two program groups,
-  // gathered, folded by the packed batch kernel (or batch interpreter),
-  // scattered, finished — must be exactly as allocation-free as the
-  // scalar per-ACK path, with full telemetry (per-wave counters) on.
+// Burst intake (on_ack_batch): prefetch sweeps plus the scalar on_ack
+// per ACK, 32-ACK bursts over two programs, with full telemetry on.
+// The sweeps keep their per-chunk state on the stack, so the burst must
+// be exactly as allocation-free as the scalar per-ACK path under `mode`.
+void expect_burst_allocation_free(lang::jit::JitMode mode) {
   const lang::jit::JitMode saved_mode = lang::jit::mode();
-  lang::jit::set_mode(lang::jit::JitMode::On);
   telemetry::set_enabled(true);
   (void)telemetry::metrics().dp_acks.value();
+  lang::jit::set_mode(mode);
 
   DatapathConfig dcfg;
   dcfg.flush_interval = Duration::from_millis(1);
@@ -435,8 +433,8 @@ TEST(HotPathAlloc, BatchModeSteadyStateIsAllocationFree) {
   for (size_t i = 0; i < kFlows; ++i) {
     ids.push_back(dp.create_flow(fcfg, "reno", now).id());
   }
-  // Half the flows get a second program so every wave carries two groups
-  // (group-split bookkeeping is part of what must stay alloc-free).
+  // Half the flows get a second program, so bursts interleave flows
+  // running different programs.
   ipc::InstallMsg ins;
   ins.program_text =
       "fold { r := r + Pkt.bytes_acked init 0;\n"
@@ -447,11 +445,11 @@ TEST(HotPathAlloc, BatchModeSteadyStateIsAllocationFree) {
     dp.handle_frame(ipc::encode_frame(ipc::Message{ins}), now);
   }
 
-  // Burst buffer preallocated outside the counting window; clear() keeps
-  // capacity, so refilling it is heap-silent.
+  // Burst buffer preallocated outside the counting window; clear()
+  // keeps capacity, so refilling it is heap-silent.
   std::vector<FlowAck> burst;
   burst.reserve(32);
-  const auto drive_batch = [&](uint64_t acks) {
+  const auto drive_burst = [&](uint64_t acks) {
     const Duration kRtt = Duration::from_millis(10);
     for (uint64_t i = 0; i < acks;) {
       burst.clear();
@@ -465,8 +463,8 @@ TEST(HotPathAlloc, BatchModeSteadyStateIsAllocationFree) {
         fa.ev.packets_acked = 1;
         fa.ev.bytes_in_flight = 64 * 1500;
         fa.ev.packets_in_flight = 64;
-        fa.ev.rtt_sample =
-            kRtt + Duration::from_nanos(static_cast<int64_t>(i % 1024) * 1000);
+        fa.ev.rtt_sample = kRtt + Duration::from_nanos(
+                                      static_cast<int64_t>(i % 1024) * 1000);
         burst.push_back(fa);
       }
       dp.on_ack_batch(burst);
@@ -474,29 +472,35 @@ TEST(HotPathAlloc, BatchModeSteadyStateIsAllocationFree) {
     }
   };
 
-  drive_batch(kWarmupAcks);
+  drive_burst(kWarmupAcks);
   ASSERT_GT(frames, 0u);
-  ASSERT_GT(telemetry::metrics().dp_batch_waves.value(), 0u)
-      << "workload must actually run through the batch runner";
-  if (lang::jit::simd_available()) {
-    ASSERT_GT(telemetry::metrics().dp_batch_simd_lanes.value(), 0u)
-        << "pure-arithmetic groups must fold in the packed kernel";
+  for (const ipc::FlowId id : ids) {
+    ASSERT_EQ(dp.flow(id)->jit_active(),
+              mode == lang::jit::JitMode::On && lang::jit::available());
   }
 
   const uint64_t allocs =
-      count_allocs_during([&] { drive_batch(kMeasuredAcks); });
+      count_allocs_during([&] { drive_burst(kMeasuredAcks); });
+  EXPECT_EQ(allocs, 0u) << "burst intake allocated in steady state";
   lang::jit::set_mode(saved_mode);
-  EXPECT_EQ(allocs, 0u)
-      << "batch SoA gather/fold/scatter allocated in steady state";
+}
+
+TEST(HotPathAlloc, BatchModeSteadyStateIsAllocationFree) {
+  // Bursts with native folds.
+  expect_burst_allocation_free(lang::jit::JitMode::On);
 }
 
 TEST(HotPathAlloc, BatchInterpreterSteadyStateIsAllocationFree) {
-  // Same batch workload with the JIT off: groups execute through
-  // eval_block_batch instead of the packed kernel. The interpreter path
-  // shares the SoA staging, so it must hold the same invariant.
-  const lang::jit::JitMode saved_mode = lang::jit::mode();
-  lang::jit::set_mode(lang::jit::JitMode::Off);
+  // The same bursts with the JIT off: every fold runs in the interpreter.
+  expect_burst_allocation_free(lang::jit::JitMode::Off);
+}
 
+TEST(HotPathAlloc, UpdateFieldsSteadyStateIsAllocationFree) {
+  // The agent's steady-state command: UpdateFields rebinding a flow's
+  // program variables once per report. Applying one copies the values
+  // into the var storage sized at install; the decode reuses the
+  // datapath's message scratch. ACKs keep flowing between updates, so
+  // the window covers the whole report -> update -> fold cycle.
   DatapathConfig dcfg;
   dcfg.flush_interval = Duration::from_millis(1);
   dcfg.max_batch_msgs = 32;
@@ -509,40 +513,44 @@ TEST(HotPathAlloc, BatchInterpreterSteadyStateIsAllocationFree) {
   for (size_t i = 0; i < kFlows; ++i) {
     ids.push_back(dp.create_flow(fcfg, "reno", now).id());
   }
+  ipc::InstallMsg ins;
+  ins.program_text =
+      "fold { r := r + Pkt.bytes_acked * $gain init 0; }\n"
+      "control { Cwnd($cwnd); WaitRtts(1.0); Report(); }";
+  ins.var_names = {"gain", "cwnd"};
+  ins.var_values = {1.0, 15000.0};
+  for (const ipc::FlowId id : ids) {
+    ins.flow_id = id;
+    dp.handle_frame(ipc::encode_frame(ipc::Message{ins}), now);
+  }
 
-  std::vector<FlowAck> burst;
-  burst.reserve(32);
-  const auto drive_batch = [&](uint64_t acks) {
-    const Duration kRtt = Duration::from_millis(10);
-    for (uint64_t i = 0; i < acks;) {
-      burst.clear();
-      for (size_t b = 0; b < 32 && i < acks; ++b, ++i) {
-        now += Duration::from_micros(1);
-        FlowAck fa;
-        fa.flow_id = ids[i % ids.size()];
-        fa.sent_bytes = 1500;
-        fa.ev.now = now;
-        fa.ev.bytes_acked = 1500;
-        fa.ev.packets_acked = 1;
-        fa.ev.bytes_in_flight = 64 * 1500;
-        fa.ev.packets_in_flight = 64;
-        fa.ev.rtt_sample =
-            kRtt + Duration::from_nanos(static_cast<int64_t>(i % 1024) * 1000);
-        burst.push_back(fa);
-      }
-      dp.on_ack_batch(burst);
-      if ((i & 255) == 0) dp.tick(now);
+  // One pre-encoded UpdateFields frame per flow, built outside the
+  // counting window.
+  std::vector<std::vector<uint8_t>> updates;
+  for (const ipc::FlowId id : ids) {
+    ipc::UpdateFieldsMsg up;
+    up.flow_id = id;
+    up.var_values = {1.0, 30000.0};
+    updates.push_back(ipc::encode_frame(ipc::Message{up}));
+  }
+  const auto drive_updates = [&](uint64_t rounds) {
+    for (uint64_t r = 0; r < rounds; ++r) {
+      drive(dp, ids, now, 64);
+      dp.handle_frame(updates[r % updates.size()], now);
     }
   };
 
-  drive_batch(kWarmupAcks);
+  drive_updates(kWarmupAcks / 64);
   ASSERT_GT(frames, 0u);
+  ASSERT_EQ(dp.stats().install_errors, 0u);
 
   const uint64_t allocs =
-      count_allocs_during([&] { drive_batch(kMeasuredAcks); });
-  lang::jit::set_mode(saved_mode);
-  EXPECT_EQ(allocs, 0u)
-      << "batch interpreter path allocated in steady state";
+      count_allocs_during([&] { drive_updates(kMeasuredAcks / 64); });
+  EXPECT_EQ(allocs, 0u) << "applying UpdateFields allocated in steady state";
+  for (const ipc::FlowId id : ids) {
+    EXPECT_EQ(dp.flow(id)->cwnd_bytes(), 30000u)
+        << "updates must have been applied";
+  }
 }
 
 TEST(HotPathAlloc, JitVerifySteadyStateIsAllocationFree) {

@@ -99,7 +99,7 @@ TEST(FoldMachine, UpdateVarsKeepsFoldState) {
   fm.install(&prog, {5.0});
   fm.on_packet({});
   EXPECT_DOUBLE_EQ(fm.state()[0], 5.0);
-  fm.update_vars({3.0});
+  fm.update_vars(std::vector<double>{3.0});
   fm.on_packet({});
   EXPECT_DOUBLE_EQ(fm.state()[0], 8.0);  // state survived the rebind
 }
@@ -111,7 +111,7 @@ TEST(FoldMachine, UpdateVarsValidatesCount) {
   )");
   FoldMachine fm;
   fm.install(&prog, {1.0, 2.0});
-  EXPECT_THROW(fm.update_vars({1.0}), std::invalid_argument);
+  EXPECT_THROW(fm.update_vars(std::vector<double>{1.0}), std::invalid_argument);
   EXPECT_THROW(fm.install(&prog, {1.0}), std::invalid_argument);
 }
 

@@ -98,6 +98,11 @@ struct RoundTripCase {
   double bps;
 };
 
+// Names each case by its text. Without this gtest prints the raw bytes,
+// pointer included, so the discovered test names changed with every
+// (address-randomised) run of test discovery.
+void PrintTo(const RoundTripCase& c, std::ostream* os) { *os << c.text; }
+
 class BandwidthRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(BandwidthRoundTrip, ParsesToExpected) {

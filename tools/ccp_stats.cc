@@ -223,9 +223,7 @@ int dump_resilience(StatsClient& client) {
 /// Native-execution view: how many programs compiled vs fell back to
 /// the interpreter, resident code size, compile latency, per-fold
 /// execution time for both engines side by side, and the Verify-mode
-/// divergence count (which must read 0 on a healthy deployment).
-/// Includes batch-execution occupancy (average lanes per wave and the
-/// SIMD/scalar lane split; see docs/PERF.md "Batch execution"). Also
+/// divergence count (which must read 0 on a healthy deployment). Also
 /// reports program-cache residency/evictions since compiles are driven
 /// by cache misses. See docs/PERF.md "Native execution (JIT)".
 int dump_jit(StatsClient& client) {
@@ -252,19 +250,6 @@ int dump_jit(StatsClient& client) {
   }
   std::printf("  verify_mismatches   %" PRIu64 "\n",
               counter_value(*snap, "ccp_jit_verify_mismatches_total"));
-  const uint64_t waves = counter_value(*snap, "ccp_dp_batch_lanes_total");
-  const uint64_t lanes = counter_value(*snap, "ccp_dp_batch_lanes_sum");
-  const uint64_t simd_lanes =
-      counter_value(*snap, "ccp_dp_batch_simd_lanes_total");
-  const uint64_t scalar_lanes =
-      counter_value(*snap, "ccp_dp_batch_scalar_lanes_total");
-  std::printf("batch execution:\n");
-  std::printf("  waves               %" PRIu64 "\n", waves);
-  std::printf("  lanes_per_wave      %.2f\n",
-              waves > 0 ? static_cast<double>(lanes) / static_cast<double>(waves)
-                        : 0.0);
-  std::printf("  simd_lanes          %" PRIu64 "\n", simd_lanes);
-  std::printf("  scalar_lanes        %" PRIu64 "\n", scalar_lanes);
   std::printf("fold latency (sampled 1/1024):\n");
   std::printf("  jit_ns p50/p99      %.0f / %.0f\n",
               jit_ns != nullptr ? jit_ns->quantile(0.5) : 0.0,
